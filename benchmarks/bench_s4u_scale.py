@@ -97,18 +97,15 @@ def run_fleet(num_workers: int = 1000, rounds: int = 2,
     }
 
 
-def run_sharded_zones(num_hosts: int = 1000, rounds: int = 2,
-                      flops: float = 5e7, msg_bytes: float = 1e4,
-                      sharded: bool = True) -> dict:
-    """Zone-partitioned fleet: per-site sinks plus cross-zone reporting.
+def run_zoned_fleet(num_hosts: int = 1000, rounds: int = 2,
+                    flops: float = 5e7, msg_bytes: float = 1e4) -> dict:
+    """Zoned fleet: per-site sinks plus cross-zone reporting.
 
-    The PR 7 acceptance scenario for the sharded kernel: a zoned grid
-    whose sites map one-to-one onto kernel shards.  Host 0 of each site
-    runs the site's sink; the other hosts run the same overlap worker as
+    A zoned grid with Dijkstra site routing.  Host 0 of each site runs
+    the site's sink; the other hosts run the same overlap worker as
     :func:`run_fleet` against their local sink, except every eighth
-    worker reports to the *next* site's sink so the WAN links and the
-    cross-shard migration path stay busy.  ``sharded=False`` runs the
-    identical workload on the flat kernel (the bit-identity reference).
+    worker reports to the *next* site's sink so the WAN links and
+    gateway route resolution stay busy.
     """
     if num_hosts >= 50_000:
         num_sites = 64
@@ -126,7 +123,7 @@ def run_sharded_zones(num_hosts: int = 1000, rounds: int = 2,
                                lan_latency=1e-4, wan_bandwidth=125e6,
                                wan_latency=1e-3,
                                site_routing="Dijkstra")
-    engine = Engine(platform, sharded=sharded)
+    engine = Engine(platform)
     received = [0]
 
     def sink(actor, site, total):

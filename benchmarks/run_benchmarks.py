@@ -5,7 +5,8 @@ Unlike the pytest harnesses in this directory (which print paper-artefact
 tables and assert on simulated results), this runner is about the *perf
 trajectory* of the simulator itself across PRs.  It imports the scenario
 functions directly — no pytest, no plugins — times them, and writes a JSON
-report (``BENCH_PR10.json`` by default) with, per scenario and size:
+report (``BENCH.json`` by default, see ``DEFAULT_OUTPUT``) with, per
+scenario and size:
 
 * ``wall_clock_s`` — how long the simulation took for real;
 * ``events_per_s`` — simulated activity completions per wall-clock second,
@@ -20,7 +21,7 @@ Usage::
     PYTHONPATH=../src python run_benchmarks.py --smoke --enforce-budgets
     PYTHONPATH=../src python run_benchmarks.py --only s4u_scale
     PYTHONPATH=../src python run_benchmarks.py --only s4u_scale --profile
-    PYTHONPATH=../src python run_benchmarks.py --output /tmp/bench.json
+    PYTHONPATH=../src python run_benchmarks.py --output other.json
 
 See README.md in this directory for how to read the output.
 """
@@ -69,9 +70,9 @@ def _s4u_scale(size):
     }
 
 
-def _sharded_zones(size):
-    from bench_s4u_scale import run_sharded_zones
-    result = run_sharded_zones(num_hosts=size)
+def _zoned_fleet(size):
+    from bench_s4u_scale import run_zoned_fleet
+    result = run_zoned_fleet(num_hosts=size)
     return {
         "simulated_time_s": result["simulated_time_s"],
         "peak_actors": result["peak_actors"],
@@ -209,20 +210,6 @@ def _maxmin_random_solve(size):
     return {"events": size, "lmm": _lmm_counters(system)}
 
 
-def _maxmin_parallel_solve(size):
-    from bench_maxmin_sharing import parallel_vs_serial_solve
-    result = parallel_vs_serial_solve(num_components=max(2, size // 24))
-    if not result["identical"]:
-        raise AssertionError("parallel solve diverged from serial solve")
-    return {
-        "events": size,
-        "serial_s": result["serial_s"],
-        "parallel_s": result["parallel_s"],
-        "executor": result["executor"],
-        "lmm": _lmm_counters(result["system"]),
-    }
-
-
 def _maxmin_dense_bottleneck(size):
     from bench_maxmin_sharing import dense_bottleneck_solve
     system = dense_bottleneck_solve(num_variables=size)
@@ -279,12 +266,11 @@ def _platform_realize(size):
 SCENARIOS = {
     "scalability_processes": (_scalability_processes, (16, 64, 256, 512),
                               (16,)),
-    # The PR 7 acceptance ladder: the full sweep climbs to the 10⁵-actor
-    # rung the sharded-kernel PR is judged on.
+    # The full sweep climbs to the 10⁵-actor rung.
     "s4u_scale": (_s4u_scale, (1000, 10_000, 100_000), (200,)),
-    # Zone-partitioned fleet on the sharded kernel (PR 7): sites map to
-    # shards, every eighth worker crosses zones.
-    "sharded_zones": (_sharded_zones, (1000, 10_000, 100_000), (200,)),
+    # The fleet on a zoned grid: per-site sinks, every eighth worker
+    # reports across zones, so gateway route resolution stays hot.
+    "zoned_fleet": (_zoned_fleet, (1000, 10_000, 100_000), (200,)),
     "s4u_pipeline": (_s4u_pipeline, (100, 250), (25,)),
     "s4u_race": (_s4u_race, (500, 1000), (100,)),
     "s4u_churn": (_s4u_churn, (100, 250), (25,)),
@@ -304,18 +290,14 @@ SCENARIOS = {
     "ft_supervisor_churn": (_ft_supervisor_churn, (128, 256), (32,)),
     "smpi_scale": (_smpi_scale, (16, 32, 64), (8,)),
     "maxmin_random_solve": (_maxmin_random_solve, (800, 3200, 12800), (200,)),
-    # Parallel-vs-serial component solves (PR 7): same disjoint-component
-    # system solved with and without the worker pool, bit-identity checked.
-    "maxmin_parallel_solve": (_maxmin_parallel_solve,
-                              (1536, 6144, 24576), (480,)),
     "maxmin_dense_bottleneck": (_maxmin_dense_bottleneck,
                                 (800, 3200, 12800), (200,)),
     "smpi_matmul": (_smpi_matmul, (2, 4, 8), (2,)),
     # Campaign fan-out (PR 8): a seed × config grid (16 seeds × 2 configs
     # at the smoke size) forked from one warmed ``engine.snapshot()`` blob
     # vs cold per-run replays of the warm prefix — bit-identity enforced,
-    # fork must win wall-clock.  Workers from REPRO_CAMPAIGN_WORKERS /
-    # REPRO_PARALLEL, so CI smokes the serial and 2-worker pool modes.
+    # fork must win wall-clock.  Workers from REPRO_CAMPAIGN_WORKERS, so CI
+    # smokes the serial and 2-worker pool modes.
     "campaign_fanout": (_campaign_fanout, (16, 64), (16,)),
     "gantt_clientserver": (_gantt_clientserver, (None,), (None,)),
     "traces_failures": (_traces_failures, (None,), (None,)),
@@ -338,8 +320,7 @@ SCENARIOS = {
 SMOKE_BUDGETS_S = {
     "scalability_processes": 10.0,
     "s4u_scale": 15.0,
-    "sharded_zones": 15.0,
-    "maxmin_parallel_solve": 15.0,
+    "zoned_fleet": 15.0,
     "s4u_pipeline": 15.0,
     "s4u_race": 10.0,
     "s4u_churn": 10.0,
@@ -359,6 +340,11 @@ SMOKE_BUDGETS_S = {
     "routing_scale": 20.0,
     "platform_realize": 20.0,
 }
+
+
+#: Report file name, relative to the repository root.  CI and README.md
+#: refer to the same name; pass ``--output`` to keep a report elsewhere.
+DEFAULT_OUTPUT = "BENCH.json"
 
 
 def run_scenario(name, wrapper, size, profile=False):
@@ -404,7 +390,7 @@ def main(argv=None):
                         help="with --smoke: fail when a scenario exceeds its "
                              "per-scenario wall-clock budget, naming the "
                              "offender (CI regression attribution)")
-    parser.add_argument("--output", default=os.path.join(ROOT, "BENCH_PR10.json"),
+    parser.add_argument("--output", default=os.path.join(ROOT, DEFAULT_OUTPUT),
                         help="path of the JSON report (default: %(default)s)")
     args = parser.parse_args(argv)
 

@@ -170,29 +170,59 @@ class ArrayDesc(DataDescription):
                 f"{self.name}: expected {self.fixed_length} elements, "
                 f"got {len(value)}")
 
+    def _bulk_code(self, arch: Architecture) -> Optional[str]:
+        """The :mod:`struct` code of a one-call array, else ``None``.
+
+        An array of a non-``char`` scalar packs and unpacks in one
+        :mod:`struct` call over ``n`` items instead of ``n`` calls; the
+        wire bytes are the same.  ``char`` items convert ``str`` one by
+        one, so they keep the per-element path.
+        """
+        element = self.element
+        if type(element) is not ScalarDesc or element.name == "char":
+            return None
+        return element._code_for(arch)
+
     def wire_size(self, value: Any, arch: Architecture = LOCAL_ARCH) -> int:
         self._check_length(value)
         header = 0 if self.fixed_length is not None else 4
+        if type(self.element) is ScalarDesc:
+            return header + len(value) * arch.size_of(self.element.name)
         return header + sum(self.element.wire_size(v, arch) for v in value)
 
     def encode(self, value: Any, arch: Architecture = LOCAL_ARCH) -> bytes:
         self._check_length(value)
-        chunks: List[bytes] = []
-        if self.fixed_length is None:
-            chunks.append(_struct.pack(arch.struct_byteorder_char + "I",
-                                       len(value)))
-        for item in value:
-            chunks.append(self.element.encode(item, arch))
-        return b"".join(chunks)
+        order = arch.struct_byteorder_char
+        header = b"" if self.fixed_length is not None else \
+            _struct.pack(order + "I", len(value))
+        code = self._bulk_code(arch)
+        if code is not None:
+            try:
+                return header + _struct.pack(f"{order}{len(value)}{code}",
+                                             *value)
+            except _struct.error:
+                pass  # the per-element path names the offending item
+        return header + b"".join(self.element.encode(item, arch)
+                                 for item in value)
 
     def decode(self, data: bytes, src_arch: Architecture,
                offset: int = 0) -> Tuple[Any, int]:
+        order = src_arch.struct_byteorder_char
         if self.fixed_length is None:
-            (length,) = _struct.unpack_from(
-                src_arch.struct_byteorder_char + "I", data, offset)
+            (length,) = _struct.unpack_from(order + "I", data, offset)
             offset += 4
         else:
             length = self.fixed_length
+        code = self._bulk_code(src_arch)
+        if code is not None:
+            try:
+                items = list(_struct.unpack_from(f"{order}{length}{code}",
+                                                 data, offset))
+            except _struct.error:
+                pass  # truncated: the per-element path reports where
+            else:
+                size = src_arch.size_of(self.element.name)
+                return items, offset + length * size
         items = []
         for _ in range(length):
             item, offset = self.element.decode(data, src_arch, offset)

@@ -22,8 +22,7 @@ materialize on first touch, so a 10⁵-host topology loads in O(touched).
 SURF constraint ids are pinned to declaration indices, which makes lazy
 realization bit-identical to **eager** realization (``realize(eager=True)``,
 every resource instantiated up front) — same solver tie-breaking, same
-simulated dates.  ``realize(sharded=True)`` additionally partitions the
-kernel along the top-level zones (see :mod:`repro.surf.shard`).
+simulated dates.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class HostSpec:
     state_trace: Optional[Trace] = None
     properties: Dict[str, str] = field(default_factory=dict)
     # Declaration index, set by Platform.add_host: pins the SURF
-    # constraint id so lazy/eager/sharded realization all number the
-    # resource identically.
+    # constraint id so lazy and eager realization number the resource
+    # identically.
     index: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
@@ -132,7 +131,6 @@ class Platform:
         self.engine: Optional[SurfEngine] = None
         self.cpu_by_host: Dict[str, CpuResource] = {}
         self.link_by_name: Dict[str, LinkResource] = {}
-        self._link_zone: Dict[str, Optional[NetZone]] = {}
         # Route resolution is on-demand behind LRU-bounded caches: names
         # per (src, dst), and — after realization — the resolved
         # LinkResource tuples the s4u comm hot path consumes.
@@ -342,8 +340,8 @@ class Platform:
 
     # -- realization -----------------------------------------------------------------
     def realize(self, engine: Optional[SurfEngine] = None,
-                lazy: Optional[bool] = None, eager: bool = False,
-                sharded: bool = False) -> SurfEngine:
+                lazy: Optional[bool] = None,
+                eager: bool = False) -> SurfEngine:
         """Instantiate host CPUs and links inside a SURF engine.
 
         Lazy (the default): resources materialize on first touch
@@ -355,10 +353,6 @@ class Platform:
         realization produce bit-identical simulated dates — ``eager=True``
         remains as an escape hatch that instantiates everything up front.
 
-        ``sharded=True`` builds a :class:`ShardedSurfEngine` partitioned
-        along the top-level zones of this platform (ignored when an
-        ``engine`` is supplied).
-
         Returns the engine (creating a fresh one when none is supplied).
         Realization may only happen once per Platform instance.
         """
@@ -369,15 +363,10 @@ class Platform:
         elif eager and lazy:
             raise PlatformError("realize(): lazy and eager are exclusive")
         if engine is None:
-            if sharded:
-                from repro.surf.shard import ShardedSurfEngine
-                engine = ShardedSurfEngine(list(self.root_zone.children))
-            else:
-                engine = SurfEngine()
+            engine = SurfEngine()
         self.engine = engine
         self._lazy = lazy
         self._realized = True
-        self._link_zone = self._compute_link_zones()
         if lazy:
             for spec in self.hosts.values():
                 if (spec.availability_trace is not None
@@ -394,39 +383,12 @@ class Platform:
                 self._materialize_link(spec)
         return engine
 
-    def _compute_link_zones(self) -> Dict[str, Optional[NetZone]]:
-        """Owning zone per link: the single zone referencing it, else root.
-
-        A link referenced by the routes/edges of exactly one zone belongs
-        to that zone (a sharded engine keeps its constraint in the zone's
-        shard); links referenced from several zones — inter-zone links
-        attached in a common ancestor — map to ``None``, the root shard.
-        """
-        owners: Dict[str, Optional[NetZone]] = {}
-        ambiguous: Dict[str, bool] = {}
-        for zone in [self.root_zone, *self.zones.values()]:
-            names = set()
-            for route in zone.routes.values():
-                names.update(route.links)
-            for edges in zone.adjacency.values():
-                for _vertex, link_name in edges:
-                    names.add(link_name)
-            for name in names:
-                if name not in owners:
-                    owners[name] = None if zone.parent is None else zone
-                elif owners[name] is not zone:
-                    ambiguous[name] = True
-        for name in ambiguous:
-            owners[name] = None
-        return owners
-
     def _materialize_cpu(self, spec: HostSpec) -> CpuResource:
         cpu = self.engine.add_cpu(
             spec.name, spec.speed, spec.cores,
             availability_trace=spec.availability_trace,
             state_trace=spec.state_trace,
-            index=spec.index,
-            zone=self._node_zone.get(spec.name))
+            index=spec.index)
         self.engine.register_resource_traces(cpu)
         self.cpu_by_host[spec.name] = cpu
         return cpu
@@ -436,19 +398,16 @@ class Platform:
             spec.name, spec.bandwidth, spec.latency, spec.shared,
             bandwidth_trace=spec.bandwidth_trace,
             state_trace=spec.state_trace,
-            index=spec.index,
-            zone=self._link_zone.get(spec.name))
+            index=spec.index)
         self.engine.register_resource_traces(link)
         self.link_by_name[spec.name] = link
         return link
 
     def kernel_stats(self) -> Dict[str, object]:
-        """Engine solver/shard stats merged with the route cache stats.
+        """Engine solver stats merged with the route cache stats.
 
-        One aggregated observability dict (satellite of the sharded
-        kernel): ``solver`` sums every model's LMM counters across shards,
-        ``route_caches`` is :meth:`route_cache_stats`, plus parallel
-        executor and shard/window sections when present.
+        One aggregated observability dict: ``solver`` sums every model's
+        LMM counters and ``route_caches`` is :meth:`route_cache_stats`.
         """
         if self.engine is None:
             raise PlatformError("platform not realized yet")

@@ -11,9 +11,8 @@ either by the workload's state traces or by seeded
 :class:`~repro.s4u.failure.FailureInjector` churn layered on top.
 
 Everything is seeded, so a replay is a pure function of
-``(workload, churn options, kernel flavour)`` — the equivalence tests run
-the same workload on the flat, sharded and parallel-solve kernels and
-compare dates.
+``(workload, churn options)`` — rerunning a workload reproduces every
+date to the bit.
 
 Two delivery semantics (PR 10):
 
@@ -330,17 +329,9 @@ class ClusterReplay:
         return platform
 
     # -- execution -----------------------------------------------------------------
-    def run(self, sharded: bool = False,
-            parallel_solves: bool = False) -> Dict[str, float]:
+    def run(self) -> Dict[str, float]:
         """Replay the workload; returns the metrics dictionary."""
-        engine = Engine(self.build_platform(), sharded=sharded,
-                        parallel_solves=parallel_solves)
-        try:
-            return self._run(engine)
-        finally:
-            engine.close()
-
-    def _run(self, engine: Engine) -> Dict[str, float]:
+        engine = Engine(self.build_platform())
         workload = self.workload
         self.completed = []
         self.dispatched = 0

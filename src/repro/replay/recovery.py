@@ -111,19 +111,9 @@ def run_recovery_experiment(seed: int,
     if config:
         cfg.update(config)
     cfg.setdefault("policy", "periodic")
-    owns_engine = engine is None
     if engine is None:
         engine = Engine(make_star(num_hosts=cfg["num_workers"],
                                   host_speed=cfg["host_speed"]))
-    try:
-        return _run_recovery(engine, seed, cfg)
-    finally:
-        if owns_engine:
-            engine.close()
-
-
-def _run_recovery(engine: Engine, seed: int,
-                  cfg: Dict[str, Any]) -> Dict[str, float]:
     state: Dict[str, Any] = {
         "config": cfg,
         "failures_observed": 0,
@@ -193,7 +183,6 @@ def compare_recovery_policies(seeds: Iterable[int],
     warmed = Engine(make_star(num_hosts=cfg["num_workers"],
                               host_speed=cfg["host_speed"]))
     blob = warmed.snapshot()
-    warmed.close()
     configs: List[Dict[str, Any]] = [
         {**cfg, "policy": policy, "label": policy}
         for policy in RECOVERY_POLICIES]

@@ -74,30 +74,17 @@ class Engine:
         When True, :meth:`run` raises :class:`DeadlockError` if every
         remaining actor is blocked forever; otherwise the simulation just
         ends (mirroring SimGrid's warning).
-    sharded:
-        When True (and the platform is not realized yet), realize it on a
-        :class:`~repro.surf.shard.ShardedSurfEngine` partitioned along
-        the platform's top-level zones.  Simulated dates are bit-identical
-        to the flat kernel either way.
-    parallel_solves:
-        When True, attach a :class:`~repro.surf.shard.ParallelSolveExecutor`
-        to the kernel (worker count from ``REPRO_PARALLEL``; a disabled
-        executor costs nothing).
     """
 
     def __init__(self, platform: Platform,
                  context_factory: str = "generator",
                  recorder=None,
                  raise_on_deadlock: bool = False,
-                 sharded: bool = False,
-                 parallel_solves: bool = False,
                  manage_gc: Optional[bool] = None) -> None:
         self.platform = platform
         if not platform.realized:
-            platform.realize(sharded=sharded)
+            platform.realize()
         self.surf = platform.engine
-        if parallel_solves:
-            self.surf.enable_parallel_solves()
         self.context_factory = make_context_factory(context_factory)
         self.recorder = recorder
         self.raise_on_deadlock = raise_on_deadlock
@@ -197,20 +184,12 @@ class Engine:
         return self.surf
 
     def kernel_stats(self) -> dict:
-        """Aggregated kernel observability (solver + caches + shards).
+        """Aggregated kernel observability (solver + route caches).
 
-        Merges every fluid model's LMM counters across shards with the
-        platform's route cache stats, the parallel-executor stats and the
-        shard/conservative-window section when the kernel is sharded.
+        Merges every fluid model's LMM counters with the platform's route
+        cache stats.
         """
         return self.platform.kernel_stats()
-
-    def close(self) -> None:
-        """Release kernel OS resources (parallel workers, shared memory).
-
-        Idempotent; safe to call on a never-parallel engine.
-        """
-        self.surf.close()
 
     # ------------------------------------------------------------------------------
     # snapshot / fork
@@ -234,11 +213,9 @@ class Engine:
         after :meth:`restore` (see :mod:`repro.campaign`).  Raises
         :class:`~repro.exceptions.SnapshotError` otherwise.
 
-        OS-level handles (the parallel-solve worker pool and its shared
-        memory) are detached by their own ``__getstate__`` hooks and
-        re-created lazily after restore; functions referenced by the
-        surviving state (auto-restart actor bodies, pending payloads,
-        state listeners) must be module-level so pickle can name them.
+        Functions referenced by the surviving state (auto-restart actor
+        bodies, pending payloads, state listeners) must be module-level so
+        pickle can name them.
         """
         if self._alive_actors or self._ready:
             alive = ", ".join(a.name for a in self._alive_actors)

@@ -168,7 +168,7 @@ class CpuModel(FluidModel):
         per-action mirror of the core speed on multi-core CPUs.  Each
         bound flows through ``action.model.on_action_priority_changed``
         — the only action→LMM write path — so dirtiness tracking stays
-        intact even when the action lives in another shard's system.
+        intact.
         """
         if cpu.cores <= 1:
             return

@@ -101,48 +101,6 @@ class SurfEngine:
         #: Actions completed/failed during the last :meth:`run_until_idle`.
         self.last_completed: List[Action] = []
         self.last_failed: List[Action] = []
-        #: Optional ParallelSolveExecutor shared by the models' systems
-        #: (see :meth:`enable_parallel_solves`).
-        self.executor = None
-
-    # -- parallel solving / lifecycle --------------------------------------------------
-    def enable_parallel_solves(self, workers: Optional[int] = None,
-                               min_components: int = 2,
-                               min_work: int = 256) -> None:
-        """Attach one shared :class:`ParallelSolveExecutor` to every model.
-
-        With ``workers=None`` the pool size comes from ``REPRO_PARALLEL``
-        (0 disables); a 0-worker executor never accepts a batch, so this
-        is always safe to call.  The pool forks lazily on the first batch
-        that passes the threshold.
-        """
-        from repro.surf.shard import ParallelSolveExecutor
-        if self.executor is not None:
-            self.executor.close()
-        self.executor = ParallelSolveExecutor(
-            workers=workers, min_components=min_components,
-            min_work=min_work)
-        for model in self.models:
-            model.system.executor = self.executor
-
-    def close(self) -> None:
-        """Release kernel-owned OS resources (worker pool, shared memory).
-
-        Idempotent; the executor also guards itself with
-        ``weakref.finalize``/``atexit``, so a missed ``close()`` cannot
-        leak ``/dev/shm`` segments — this just releases them immediately.
-        """
-        if self.executor is not None:
-            self.executor.close()
-            self.executor = None
-            for model in self.models:
-                model.system.executor = None
-
-    def __enter__(self) -> "SurfEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- model dispatch ----------------------------------------------------------------
     def model_of(self, resource: Resource):
@@ -155,19 +113,15 @@ class SurfEngine:
 
     def add_cpu(self, name: str, speed: float, cores: int = 1,
                 availability_trace=None, state_trace=None,
-                index: Optional[int] = None, zone=None) -> CpuResource:
-        """Create a CPU resource in the appropriate model.
-
-        ``zone`` (the declaring :class:`~repro.platform.routing.NetZone`)
-        selects the shard in a sharded engine; the flat engine ignores it.
-        """
+                index: Optional[int] = None) -> CpuResource:
+        """Create a CPU resource in the appropriate model."""
         return self.cpu_model.add_cpu(
             name, speed, cores, availability_trace=availability_trace,
             state_trace=state_trace, index=index)
 
     def add_link(self, name: str, bandwidth: float, latency: float = 0.0,
                  shared: bool = True, bandwidth_trace=None, state_trace=None,
-                 index: Optional[int] = None, zone=None) -> LinkResource:
+                 index: Optional[int] = None) -> LinkResource:
         """Create a link resource in the appropriate model (see add_cpu)."""
         return self.network_model.add_link(
             name, bandwidth, latency, shared,
@@ -181,31 +135,22 @@ class SurfEngine:
 
     def communicate(self, links, size: float, extra_latency: float = 0.0,
                     rate: Optional[float] = None, priority: float = 1.0):
-        """Start a transfer over ``links`` in the owning network model.
-
-        In a sharded engine this is where cross-zone communications are
-        handed off: link constraints spread over several shards migrate
-        into the root shard before the flow is created.
-        """
+        """Start a transfer over ``links`` in the owning network model."""
         return self.network_model.communicate(links, size, extra_latency,
                                               rate, priority)
 
     def kernel_stats(self) -> dict:
         """Aggregated kernel observability counters.
 
-        Sums :meth:`FluidModel.solver_stats` over every model (and, in a
-        sharded engine, every shard) and annexes the parallel-executor
-        stats when one is attached.  The platform layer merges its route
-        cache stats into the same dict (see ``Platform.kernel_stats``).
+        Sums :meth:`FluidModel.solver_stats` over every model.  The
+        platform layer merges its route cache stats into the same dict
+        (see ``Platform.kernel_stats``).
         """
         solver: dict = {}
         for model in self.models:
             for key, value in model.solver_stats().items():
                 solver[key] = solver.get(key, 0) + value
-        stats = {"solver": solver, "models": len(self.models)}
-        if self.executor is not None:
-            stats["parallel"] = self.executor.stats()
-        return stats
+        return {"solver": solver, "models": len(self.models)}
 
     # -- resource registration -------------------------------------------------------
     def register_resource_traces(self, resource: Resource) -> None:
@@ -289,7 +234,11 @@ class SurfEngine:
         if until < now - _TIME_EPSILON:
             raise ValueError(f"cannot step backwards (until={until} < now={now})")
 
-        min_delta = self._share_phase(now)
+        min_delta = math.inf
+        for model in self.models:
+            model_delta = model.share_resources(now)
+            if model_delta < min_delta:
+                min_delta = model_delta
 
         trace_date = self.next_trace_event_date()
         delta_trace = trace_date - now if not math.isinf(trace_date) else math.inf
@@ -303,7 +252,16 @@ class SurfEngine:
         new_time = now + delta
         self.clock = new_time
 
-        completed = self._update_phase(new_time, delta)
+        completed: List[Action] = []
+        for model in self.models:
+            # Peek before paying the call: most steps fire events in one
+            # model while the others have nothing due yet.  Stale heap
+            # heads (lazy removals) only ever make the peek pessimistic.
+            heap = model._heap
+            if heap and heap[0][0] <= new_time + _TIME_EPSILON:
+                completed.extend(model.update_actions_state(new_time, delta))
+            else:
+                model.clock = new_time
 
         state_changes: List[Tuple[Resource, bool]] = []
         speed_changes: List[Tuple[Resource, float]] = []
@@ -332,39 +290,6 @@ class SurfEngine:
             self._zero_progress_steps = 0
         return StepResult(new_time, completed, failed, reached_bound,
                           state_changes, speed_changes)
-
-    def _share_phase(self, now: float) -> float:
-        """Solve every model's system; return the earliest event delay.
-
-        Overridden by the sharded engine, which merges the per-shard
-        solve results into the flat reschedule order before computing the
-        next-event dates.
-        """
-        min_delta = math.inf
-        for model in self.models:
-            delta = model.share_resources(now)
-            if delta < min_delta:
-                min_delta = delta
-        return min_delta
-
-    def _update_phase(self, now: float, delta: float) -> List[Action]:
-        """Fire every model's due events; return the completed actions.
-
-        Overridden by the sharded engine, which pops the per-shard heaps
-        merged by ``(date, seq)`` so the completion order matches the
-        flat single-heap pop order.
-        """
-        completed: List[Action] = []
-        for model in self.models:
-            # Peek before paying the call: most steps fire events in one
-            # model while the others have nothing due yet.  Stale heap
-            # heads (lazy removals) only ever make the peek pessimistic.
-            heap = model._heap
-            if heap and heap[0][0] <= now + _TIME_EPSILON:
-                completed.extend(model.update_actions_state(now, delta))
-            else:
-                model.clock = now
-        return completed
 
     def _fire_trace_events(self, now: float,
                            state_changes: Optional[List[Tuple[Resource, bool]]]

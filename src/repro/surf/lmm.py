@@ -264,21 +264,11 @@ class MaxMinSystem:
         assert flow1.value == flow2.value == 0.5e9
     """
 
-    def __init__(self, var_ids=None) -> None:
+    def __init__(self) -> None:
         self._vars: Dict[int, Variable] = {}
         self.constraints: List[Constraint] = []
         self._next_var_id = 0
         self._next_cns_id = 0
-        # Optional shared variable-id allocator (an ``itertools.count``):
-        # the sharded kernel hands the same allocator to every shard's
-        # system so variable creation order — and therefore every
-        # id-based tie-break — is global, exactly like a single flat
-        # system would number them.
-        self._var_ids = var_ids
-        # Optional ParallelSolveExecutor (see repro.surf.shard); when set,
-        # solve() hands batches of independent components to it instead of
-        # sub-solving them inline.
-        self.executor = None
         # Constraints whose incidence, capacity or crossing-variable
         # weights/bounds changed since the last solve.
         self._modified: Set[Constraint] = set()
@@ -310,10 +300,7 @@ class MaxMinSystem:
     def new_variable(self, weight: float = 1.0,
                      bound: Optional[float] = None, data=None) -> Variable:
         """Create and register a new variable."""
-        if self._var_ids is not None:
-            vid = next(self._var_ids)
-        else:
-            vid = self._next_var_id
+        vid = self._next_var_id
         self._next_var_id = vid + 1
         var = Variable(vid, weight, bound, data)
         self._vars[vid] = var
@@ -327,7 +314,7 @@ class MaxMinSystem:
         ``cid`` optionally pins the constraint id.  Ids drive every
         tie-break in the solver, so callers that materialize resources in
         a non-deterministic or on-demand order (the lazy platform
-        realization, the sharded kernel) pass the resource's declaration
+        realization) pass the resource's declaration
         index here to keep solved values independent of creation order.
         """
         if cid is None:
@@ -426,39 +413,13 @@ class MaxMinSystem:
         variables whose value changed (the callers use it to recompute
         action completion dates selectively).
         """
-        changed: List[Variable] = []
-        self._solve_into(changed, None, _subsolver)
-        return changed
-
-    def solve_grouped(self, _subsolver=None):
-        """Like :meth:`solve`, but keeps the component structure visible.
-
-        Returns ``(changed, groups)`` where ``groups`` is a list of
-        ``(trigger_cid, start, end)`` triples: the changed variables of
-        the component first triggered by modified constraint
-        ``trigger_cid`` occupy ``changed[start:end]``.  Entries before
-        ``groups[0][1]`` (or all of ``changed`` when ``groups`` is empty)
-        are detached variables, ordered by id.
-
-        The sharded kernel uses this to re-merge the per-shard solve
-        results into the exact global order a single flat system would
-        report: detached variables by id first, then components by
-        trigger id — both orderings are global because ids are.
-        """
-        changed: List[Variable] = []
-        groups: List[Tuple[int, int, int]] = []
-        self._solve_into(changed, groups, _subsolver)
-        return changed, groups
-
-    def _solve_into(self, changed: List[Variable],
-                    groups: Optional[List[Tuple[int, int, int]]],
-                    _subsolver=None) -> None:
         subsolve = _subsolver if _subsolver is not None else \
             self._solve_subsystem
+        changed: List[Variable] = []
         self.solve_calls += 1
         if not self._modified and not self._detached_dirty:
             self.solve_skipped += 1
-            return
+            return changed
 
         # Variables crossing no constraint are limited only by their bound.
         # Creation order keeps the changed-variables report — and therefore
@@ -490,8 +451,6 @@ class MaxMinSystem:
             modified.clear()
             cns_seen: Set[Constraint] = set()
             var_seen: Set[Variable] = set()
-            components: List[Tuple[List[Constraint], List[Variable]]] = []
-            triggers: List[int] = []
             for seed in seeds:
                 if seed in cns_seen:
                     continue
@@ -500,27 +459,8 @@ class MaxMinSystem:
                 # identical to a from-scratch solve of the same component.
                 cnss.sort(key=lambda c: c.id)
                 variables.sort(key=lambda v: v.id)
-                components.append((cnss, variables))
-                triggers.append(seed.id)
-            boundaries: Optional[List[Tuple[int, int]]] = \
-                None if groups is None else []
-            executor = self.executor
-            if (executor is not None and _subsolver is None
-                    and executor.accepts(components)):
-                # Independent components solve in parallel workers; the
-                # executor reports per-component results in submission
-                # order, so ``changed`` is populated exactly like the
-                # serial loop below would.
-                executor.solve_batch(self, components, changed, boundaries)
-            else:
-                for cnss, variables in components:
-                    start = len(changed)
-                    subsolve(cnss, variables, changed)
-                    if boundaries is not None:
-                        boundaries.append((start, len(changed)))
-            if groups is not None:
-                for trigger, (start, end) in zip(triggers, boundaries):
-                    groups.append((trigger, start, end))
+                subsolve(cnss, variables, changed)
+        return changed
 
     def _component(self, seed: Constraint, cns_seen: Set[Constraint],
                    var_seen: Set[Variable]):

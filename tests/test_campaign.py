@@ -84,12 +84,7 @@ class TestWorkerDefaults:
         assert default_campaign_workers() == max(0, (os.cpu_count() or 1) - 1)
         monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "nonsense")
         assert default_campaign_workers() == 0
-
-    def test_falls_back_to_repro_parallel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CAMPAIGN_WORKERS", raising=False)
-        monkeypatch.setenv("REPRO_PARALLEL", "2")
-        assert default_campaign_workers() == 2
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        monkeypatch.delenv("REPRO_CAMPAIGN_WORKERS")
         assert default_campaign_workers() == 0
 
 
@@ -270,9 +265,7 @@ def _warm_blob():
     for index in range(3):
         engine.add_actor(f"warm{index}", f"leaf-{index}", warm, index)
     engine.run()
-    blob = engine.snapshot()
-    engine.close()
-    return blob, engine.now
+    return engine.snapshot(), engine.now
 
 
 def _measured_phase(engine, seed, config):
@@ -304,7 +297,6 @@ class TestSnapshotFanout:
         for spec in specs:
             engine = s4u.Engine.restore(blob)
             cold.append(_measured_phase(engine, spec.seed, spec.config))
-            engine.close()
         assert forked.metrics() == cold
         assert all(m["simulated_time_s"] > warm_date for m in cold)
 

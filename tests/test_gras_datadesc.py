@@ -33,10 +33,25 @@ class TestScalars:
                                                    src, dst):
         desc = ScalarDesc(type_name)
         assert desc.roundtrip(value, src, dst) == value
+        # An array of the scalar packs in one struct call; its bytes,
+        # decoded items and wire size equal the per-element encoding.
+        items = [value, 0, value]
+        per_element = b"".join(desc.encode(item, src) for item in items)
+        fixed = ArrayDesc(desc, fixed_length=3)
+        assert fixed.encode(items, src) == per_element
+        assert fixed.decode(per_element, src) == (items, len(per_element))
+        assert fixed.wire_size(items, src) == len(per_element)
+        dynamic = ArrayDesc(desc)
+        assert dynamic.encode(items, src) == \
+            (3).to_bytes(4, src.byte_order) + per_element
+        assert dynamic.roundtrip(items, src, dst) == items
 
     def test_char_roundtrip(self):
         desc = ScalarDesc("char")
         assert desc.roundtrip("Z", X86, SPARC) == "Z"
+        # char arrays take the per-element path (str items convert).
+        assert ArrayDesc(desc).roundtrip(["a", b"b"], SPARC, X86) == \
+            ["a", "b"]
 
     def test_wire_size_follows_architecture(self):
         desc = ScalarDesc("long")
@@ -59,6 +74,14 @@ class TestScalars:
         desc = ScalarDesc("int8")
         with pytest.raises(DataDescriptionError):
             desc.encode(10_000, X86)
+        # One out-of-range element fails the whole array, by name.
+        for order_arch in (X86, SPARC):
+            with pytest.raises(DataDescriptionError, match="10000"):
+                ArrayDesc(desc).encode([1, 10_000, 2], order_arch)
+        with pytest.raises(DataDescriptionError):
+            ArrayDesc(ScalarDesc("uint32")).encode([-1], SPARC)
+        with pytest.raises(DataDescriptionError):
+            ArrayDesc(ScalarDesc("int32")).encode([1, "x"], X86)
 
 
 class TestCompositeTypes:
@@ -76,6 +99,9 @@ class TestCompositeTypes:
         desc = ArrayDesc(ScalarDesc("double"))
         values = [0.5, -1.25, 3.75]
         assert desc.roundtrip(values, POWERPC, X86) == values
+        # A truncated payload is rejected, not silently shortened.
+        with pytest.raises(DataDescriptionError):
+            desc.decode(desc.encode(values, POWERPC)[:-1], POWERPC)
 
     def test_struct_roundtrip(self):
         desc = StructDesc("point", [("x", ScalarDesc("double")),

@@ -58,12 +58,6 @@ class TestClusterReplay:
         second = ClusterReplay(workload, churn_seed=5).run()
         assert first == second
 
-    def test_flat_vs_sharded_identical(self):
-        workload = synthetic_workload(seed=17, num_hosts=4, num_jobs=8)
-        flat = ClusterReplay(workload, churn_seed=3).run(sharded=False)
-        shard = ClusterReplay(workload, churn_seed=3).run(sharded=True)
-        assert shard == flat
-
     def test_mailbox_queued_job_redelivered_after_restart(self):
         # One node, down from t=1 to t=3 via its state trace.  A job
         # submitted during the outage waits in the node mailbox and is
@@ -149,15 +143,12 @@ class TestAtLeastOnce:
         assert metrics["duplicates"] >= 1
         assert metrics["resubmitted"] >= 1
 
-    def test_at_least_once_deterministic_across_kernels(self):
+    def test_at_least_once_rerun_is_deterministic(self):
         workload = synthetic_workload(seed=23, num_hosts=4, num_jobs=8)
         replays = [ClusterReplay(workload, churn_seed=7,
                                  semantics="at_least_once", supervised=True)
-                   for _ in range(3)]
-        flat = replays[0].run(sharded=False)
-        again = replays[1].run(sharded=False)
-        shard = replays[2].run(sharded=True)
-        assert flat == again == shard
+                   for _ in range(2)]
+        assert replays[0].run() == replays[1].run()
 
     def test_supervised_churn_fleet_loses_nothing(self):
         workload = synthetic_workload(seed=3, num_hosts=4, num_jobs=16)

@@ -20,7 +20,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import NoRouteError, PlatformError
+from repro.exceptions import NoRouteError, PlatformError, TransferFailureError
 from repro.platform import (
     Platform,
     load_platform,
@@ -36,7 +36,7 @@ from repro.platform import (
 )
 from repro.platform.loader import platform_from_dict, platform_to_dict
 from repro.platform.routing import LRUCache, resolve_route
-from repro.s4u import Engine
+from repro.s4u import Engine, FailureInjector
 
 FLAT_GENERATORS = [
     pytest.param(make_cluster, id="cluster"),
@@ -376,6 +376,20 @@ class TestRouteCaches:
         platform.connect("a", "b", "fast")
         assert platform.route_links("a", "b") == ["fast"]
 
+    def test_kernel_stats_merges_solver_and_route_caches(self):
+        platform = make_zoned_grid(num_sites=3, hosts_per_site=4)
+        _, engine = run_zoned_exchange(platform)
+        stats = engine.kernel_stats()
+        assert stats["route_caches"] == platform.route_cache_stats()
+        assert stats["solver"]["solve_calls"] > 0
+        assert "models" in stats
+
+    def test_kernel_stats_has_no_shard_block(self):
+        platform = make_zoned_grid(num_sites=3, hosts_per_site=4)
+        _, engine = run_zoned_exchange(platform)
+        assert set(engine.kernel_stats()) == \
+            {"solver", "models", "route_caches"}
+
     def test_route_resources_returns_tuple(self):
         platform = make_zoned_grid(num_sites=2, hosts_per_site=2)
         platform.realize()
@@ -383,6 +397,81 @@ class TestRouteCaches:
         assert isinstance(resources, tuple)
         assert [r.name for r in resources] == \
             platform.route_links("site-0-host-0", "site-1-host-1")
+
+
+def run_zoned_exchange(platform):
+    """Mixed intra-/cross-site execs and transfers; returns the event log.
+
+    Two pairs stay inside a site and two cross sites; the two cross-site
+    pairs share the wan-1 link, so cross-zone flows contend in one LMM
+    component.
+    """
+    engine = Engine(platform)
+    log = []
+    pairs = [
+        ("site-0-host-1", "site-0-host-2"),
+        ("site-0-host-3", "site-1-host-1"),
+        ("site-1-host-2", "site-2-host-2"),
+        ("site-2-host-3", "site-2-host-1"),
+    ]
+
+    def sender(actor, i):
+        yield actor.execute(2e8 * (i + 1))
+        log.append((actor.now, f"sent-{i}"))
+        yield actor.engine.mailbox(f"m{i}").put(i, size=5e5 * (i + 1))
+        log.append((actor.now, f"put-{i}"))
+
+    def receiver(actor, i):
+        yield actor.engine.mailbox(f"m{i}").get()
+        log.append((actor.now, f"got-{i}"))
+        yield actor.execute(1e8)
+        log.append((actor.now, f"done-{i}"))
+
+    for i, (src, dst) in enumerate(pairs):
+        engine.add_actor(f"s{i}", src, sender, i)
+        engine.add_actor(f"r{i}", dst, receiver, i)
+    log.append((engine.run(), "end"))
+    return log, engine
+
+
+def run_zoned_churn(platform):
+    """Cross-zone fan-in under seeded host/WAN churn; returns the log."""
+    engine = Engine(platform)
+    log = []
+    want = [25]
+
+    def sink(actor):
+        box = actor.engine.mailbox("sink")
+        while want[0] > 0:
+            try:
+                payload = yield box.get()
+            except TransferFailureError:
+                continue
+            want[0] -= 1
+            log.append((actor.now, f"recv-{payload}"))
+
+    def worker(actor, i):
+        while True:
+            yield actor.execute(5e6 * (1 + i % 3))
+            try:
+                yield actor.engine.mailbox("sink").put(i, size=2e4)
+            except TransferFailureError:
+                continue
+
+    engine.add_actor("sink", "site-0-host-0", sink)
+    hosts = [f"site-{s}-host-{h}" for s in (1, 2) for h in range(4)]
+    for i, host in enumerate(hosts):
+        engine.add_actor(f"w{i}", host, worker, i,
+                         daemon=True, auto_restart=True)
+    injector = FailureInjector(engine, seed=11,
+                               hosts=["site-1-host-1", "site-2-host-2"],
+                               links=["wan-1", "wan-2"],
+                               mtbf=0.01, mean_downtime=0.02,
+                               max_failures=20).start()
+    log.append((engine.run(), "end"))
+    assert want[0] == 0, "the sink must collect every message"
+    assert injector.failures > 0, "the churn seed must inject failures"
+    return log
 
 
 class TestLazyRealization:
@@ -434,6 +523,24 @@ class TestLazyRealization:
             return engine.run()
 
         assert run(lazy=False) == run(lazy=True)
+
+    def test_lazy_matches_eager_dates(self):
+        eager = make_zoned_grid(num_sites=3, hosts_per_site=4)
+        eager.realize(eager=True)
+        eager_log, eager_engine = run_zoned_exchange(eager)
+        lazy_log, lazy_engine = run_zoned_exchange(
+            make_zoned_grid(num_sites=3, hosts_per_site=4))
+        assert lazy_log == eager_log
+        # Same solver work too: untouched resources cost nothing.
+        assert (lazy_engine.kernel_stats()["solver"]
+                == eager_engine.kernel_stats()["solver"])
+
+    def test_lazy_matches_eager_under_cross_zone_churn(self):
+        eager = make_zoned_grid(num_sites=3, hosts_per_site=4)
+        eager.realize(eager=True)
+        lazy_log = run_zoned_churn(make_zoned_grid(num_sites=3,
+                                                   hosts_per_site=4))
+        assert lazy_log == run_zoned_churn(eager)
 
     def test_large_zoned_platform_realizes_lazily_in_o_touched(self):
         # 10⁴ hosts here (the 10⁵ acceptance run lives in the

@@ -4,18 +4,16 @@ The PR-8 contract extends the kernel's determinism guarantee across
 serialization: ``engine.snapshot()`` at a quiescent point, then
 ``Engine.restore(blob)`` — in this process or another one — must produce
 exactly the simulated dates and event order of the engine that never got
-snapshotted.  That must hold for the flat kernel, the sharded kernel,
-with parallel solves attached, and through mid-churn FailureInjector
-state (pending pulse timers + Mersenne RNG position).
+snapshotted.  That must hold on flat and zoned platforms and through
+mid-churn FailureInjector state (pending pulse timers + Mersenne RNG
+position).
 
 Below that, the SURF layer itself must survive ``copy.deepcopy`` and
-``pickle`` mid-run (actions in flight), and a snapshot/restore cycle of
-a parallel engine must leave no ``/dev/shm`` segment behind.
+``pickle`` mid-run (actions in flight).
 """
 
 import copy
 import multiprocessing
-import os
 import pickle
 
 import pytest
@@ -31,21 +29,19 @@ from repro.kernel.timer import TimerQueue
 from repro.platform import Platform, make_star, make_zoned_grid
 from repro.s4u import FailureInjector
 from repro.surf.engine import SurfEngine
-from repro.surf.shard import ParallelSolveExecutor
 from repro.surf.trace import Trace
 
 
 NUM_LEAVES = 3
 
 
-def _make_engine(sharded=False, parallel_solves=False):
-    if sharded:
+def _make_engine(zoned=False):
+    if zoned:
         platform = make_zoned_grid(num_sites=3, hosts_per_site=2)
     else:
         platform = make_star(num_hosts=NUM_LEAVES, host_speed=1e9,
                              link_bandwidth=1e7, link_latency=1e-4)
-    return s4u.Engine(platform, sharded=sharded,
-                      parallel_solves=parallel_solves)
+    return s4u.Engine(platform)
 
 
 def _worker_hosts(engine):
@@ -115,25 +111,17 @@ def _run_measured_phase(engine, seed=None):
     return final, log, injector.events if injector else []
 
 
-def _cold_run(sharded=False, parallel_solves=False, seed=None):
-    engine = _make_engine(sharded, parallel_solves)
+def _cold_run(zoned=False, seed=None):
+    engine = _make_engine(zoned)
     _run_warm_phase(engine)
-    try:
-        return _run_measured_phase(engine, seed)
-    finally:
-        engine.close()
+    return _run_measured_phase(engine, seed)
 
 
-def _forked_run(sharded=False, parallel_solves=False, seed=None):
-    engine = _make_engine(sharded, parallel_solves)
+def _forked_run(zoned=False, seed=None):
+    engine = _make_engine(zoned)
     _run_warm_phase(engine)
-    blob = engine.snapshot()
-    engine.close()
-    restored = s4u.Engine.restore(blob)
-    try:
-        return _run_measured_phase(restored, seed)
-    finally:
-        restored.close()
+    restored = s4u.Engine.restore(engine.snapshot())
+    return _run_measured_phase(restored, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -150,26 +138,19 @@ class TestForkEqualsCold:
         assert fork == cold
         assert cold[2], "the churn seed must actually inject failures"
 
-    def test_sharded_kernel(self):
-        assert _forked_run(sharded=True) == _cold_run(sharded=True)
+    def test_zoned_platform(self):
+        assert _forked_run(zoned=True) == _cold_run(zoned=True)
 
-    def test_sharded_kernel_with_churn(self):
-        assert _forked_run(sharded=True, seed=3) == _cold_run(
-            sharded=True, seed=3)
-
-    def test_parallel_solves_engine(self):
-        assert (_forked_run(sharded=True, parallel_solves=True)
-                == _cold_run(sharded=True, parallel_solves=True))
+    def test_zoned_platform_with_churn(self):
+        assert _forked_run(zoned=True, seed=3) == _cold_run(zoned=True,
+                                                              seed=3)
 
     def test_snapshot_is_non_destructive(self):
         """The snapshotted engine keeps running identically afterwards."""
         engine = _make_engine()
         _run_warm_phase(engine)
         engine.snapshot()
-        try:
-            assert _run_measured_phase(engine, seed=5) == _cold_run(seed=5)
-        finally:
-            engine.close()
+        assert _run_measured_phase(engine, seed=5) == _cold_run(seed=5)
 
     def test_pending_injector_pulses_travel(self):
         """An injector armed before the snapshot churns the restored run."""
@@ -182,10 +163,8 @@ class TestForkEqualsCold:
                                        max_failures=5).start()
             if snapshot_between:
                 blob = engine.snapshot()
-                engine.close()
                 engine = s4u.Engine.restore(blob)
             final, log, _ = _run_measured_phase(engine)
-            engine.close()
             return final, log
 
         cold = churned(snapshot_between=False)
@@ -209,7 +188,6 @@ class TestSnapshotGuards:
         engine.run(until=0.5)
         with pytest.raises(SnapshotError, match="spinner"):
             engine.snapshot()
-        engine.close()
 
     def test_restore_rejects_foreign_blob(self):
         with pytest.raises(SnapshotError, match="does not hold"):
@@ -229,8 +207,6 @@ class TestSnapshotGuards:
         assert len(engine.timers._heap) == 1
         restored = s4u.Engine.restore(blob)
         assert len(restored.timers) == 1
-        engine.close()
-        restored.close()
 
 
 def _noop_timer():
@@ -393,13 +369,8 @@ class TestTraceHeapSnapshots:
         forked = traced_pair()
         warm(forked)
         blob = forked.snapshot()
-        forked.close()
         restored = s4u.Engine.restore(blob)
-        try:
-            assert measured(restored) == measured(cold)
-        finally:
-            cold.close()
-            restored.close()
+        assert measured(restored) == measured(cold)
 
 
 class TestSurfMidRunCopies:
@@ -434,46 +405,6 @@ class TestSurfMidRunCopies:
 
 
 # ---------------------------------------------------------------------------
-# executor detach/reattach + shm hygiene
-# ---------------------------------------------------------------------------
-
-def _shm_segments():
-    try:
-        return {name for name in os.listdir("/dev/shm")
-                if name.startswith("repro_lmm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
-class TestExecutorSnapshot:
-    def test_pickle_detaches_pool_and_keeps_counters(self):
-        executor = ParallelSolveExecutor(workers=2, min_components=1,
-                                         min_work=1)
-        executor.batches = 7
-        executor.components_parallel = 21
-        restored = pickle.loads(pickle.dumps(executor))
-        assert restored.workers == 2
-        assert restored.batches == 7
-        assert restored.components_parallel == 21
-        assert not restored._started  # pool re-forks lazily on first batch
-        restored.close()
-        executor.close()
-
-    def test_no_shm_leak_across_snapshot_cycle(self):
-        before = _shm_segments()
-        engine = _make_engine(sharded=True)
-        engine.surf.enable_parallel_solves(workers=2, min_components=1,
-                                           min_work=1)
-        _run_warm_phase(engine)
-        blob = engine.snapshot()
-        restored = s4u.Engine.restore(blob)
-        _run_measured_phase(restored, seed=2)
-        restored.close()
-        engine.close()
-        assert _shm_segments() == before
-
-
-# ---------------------------------------------------------------------------
 # cross-process restore
 # ---------------------------------------------------------------------------
 
@@ -482,7 +413,6 @@ def _child_replay(blob, seed, conn):
     try:
         conn.send(_run_measured_phase(engine, seed))
     finally:
-        engine.close()
         conn.close()
 
 
@@ -491,7 +421,6 @@ class TestProcessRoundtrip:
         engine = _make_engine()
         _run_warm_phase(engine)
         blob = engine.snapshot()
-        engine.close()
 
         ctx = multiprocessing.get_context("fork")
         parent_conn, child_conn = ctx.Pipe(duplex=False)
