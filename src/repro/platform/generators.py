@@ -188,7 +188,7 @@ def make_zoned_grid(num_sites: int = 4, hosts_per_site: int = 8,
                     lan_latency: float = 100e-6,
                     wan_bandwidth: float = 12.5e6,
                     wan_latency: float = 50e-3,
-                    site_routing: str = "Floyd",
+                    site_routing: str = "Dijkstra",
                     name: str = "zoned-grid") -> Platform:
     """A multi-site grid as a tree of routing zones.
 
@@ -200,10 +200,10 @@ def make_zoned_grid(num_sites: int = 4, hosts_per_site: int = 8,
     storing a per-pair table, so construction and memory stay O(hosts)
     even at 10⁵ hosts.
 
-    ``site_routing`` picks the intra-site strategy (``"Floyd"`` by
-    default, exercising the precomputed table; ``"Dijkstra"`` and
-    ``"Full"`` work too — ``"Full"`` declares the O(hosts_per_site²)
-    explicit pair routes, so keep the default for large sites).
+    ``site_routing`` picks the intra-site strategy: ``"Dijkstra"`` (the
+    default, O(1) per route since every host is a leaf of the site star),
+    ``"Floyd"`` (same routes, but an O(hosts_per_site) tree sealed per
+    source host) or ``"Full"`` (O(hosts_per_site²) explicit pair routes).
     """
     if num_sites < 1:
         raise ValueError("a zoned grid needs at least one site")

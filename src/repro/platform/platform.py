@@ -109,8 +109,7 @@ class Platform:
     name:
         Display name.
     route_cache_size:
-        Bound of the two route LRU caches (resolved link-name routes and
-        realized resource routes).  ``None`` removes the bound.
+        Bound of the route LRU cache.  ``None`` removes the bound.
     """
 
     def __init__(self, name: str = "platform",
@@ -131,12 +130,12 @@ class Platform:
         self.engine: Optional[SurfEngine] = None
         self.cpu_by_host: Dict[str, CpuResource] = {}
         self.link_by_name: Dict[str, LinkResource] = {}
-        # Route resolution is on-demand behind LRU-bounded caches: names
-        # per (src, dst), and — after realization — the resolved
-        # LinkResource tuples the s4u comm hot path consumes.
+        # Route resolution is on-demand behind one LRU-bounded cache keyed
+        # (src, dst).  Each entry is ``[link names, LinkResources]``; the
+        # second slot is filled on the first ``route_resources`` call after
+        # realization (the tuple the s4u comm hot path consumes).
         self.route_cache_size = route_cache_size
         self._route_cache: LRUCache = LRUCache(route_cache_size)
-        self._resource_route_cache: LRUCache = LRUCache(route_cache_size)
 
     # -- legacy flat views of the root zone -------------------------------------------
     @property
@@ -166,7 +165,7 @@ class Platform:
         zone = NetZone(self, name, parent_zone, routing=routing,
                        gateway=gateway)
         self.zones[name] = zone
-        self._invalidate_route_caches()
+        self._route_cache.clear()
         return zone
 
     def zone(self, name: str) -> NetZone:
@@ -249,7 +248,7 @@ class Platform:
         self._check_not_realized()
         zone = self._common_zone_of_vertices(src, dst)
         spec = zone.add_route(src, dst, links, symmetric)
-        self._invalidate_route_caches()
+        self._route_cache.clear()
         return spec
 
     def connect(self, node_a: str, node_b: str, link_name: str) -> None:
@@ -262,7 +261,7 @@ class Platform:
         self._check_not_realized()
         zone = self._common_zone_of_vertices(node_a, node_b)
         zone.connect(node_a, node_b, link_name)
-        self._invalidate_route_caches()
+        self._route_cache.clear()
 
     def _common_zone_of_vertices(self, name_a: str, name_b: str) -> NetZone:
         """The zone that has both names as vertices (node or child zone)."""
@@ -303,11 +302,6 @@ class Platform:
             raise PlatformError(
                 "the platform was already realized; describe it fully first")
 
-    def _invalidate_route_caches(self) -> None:
-        """Topology changed pre-realization: drop memoized routes."""
-        self._route_cache.clear()
-        self._resource_route_cache.clear()
-
     # -- routing ------------------------------------------------------------------
     def route_links(self, src: str, dst: str) -> List[str]:
         """Ordered link names of the route from ``src`` to ``dst``.
@@ -318,25 +312,26 @@ class Platform:
         corrupts the cache.  A loopback route (``src == dst``) is the
         empty list.
         """
-        self._check_node(src)
-        self._check_node(dst)
-        if src == dst:
-            return []
+        return list(self._route_entry(src, dst)[0])
+
+    def _route_entry(self, src: str, dst: str) -> list:
+        """The cache entry ``[link names, LinkResources or None]``."""
         key = (src, dst)
-        links = self._route_cache.get(key)
-        if links is None:
-            links = tuple(resolve_route(self, src, dst))
-            self._route_cache.put(key, links)
-        return list(links)
+        entry = self._route_cache.get(key)
+        if entry is None:
+            self._check_node(src)
+            self._check_node(dst)
+            entry = [tuple(resolve_route(self, src, dst)), None]
+            self._route_cache.put(key, entry)
+        return entry
 
     def route_latency(self, src: str, dst: str) -> float:
         """Sum of the latencies along the route from ``src`` to ``dst``."""
         return sum(self.links[name].latency for name in self.route_links(src, dst))
 
     def route_cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Counters of the two route caches (routing's observable contract)."""
-        return {"routes": self._route_cache.stats(),
-                "resource_routes": self._resource_route_cache.stats()}
+        """Counters of the route cache (routing's observable contract)."""
+        return {"routes": self._route_cache.stats()}
 
     # -- realization -----------------------------------------------------------------
     def realize(self, engine: Optional[SurfEngine] = None,
@@ -451,12 +446,11 @@ class Platform:
         """
         if not self._realized:
             raise PlatformError("platform not realized yet")
-        key = (src, dst)
-        links = self._resource_route_cache.get(key)
+        entry = self._route_entry(src, dst)
+        links = entry[1]
         if links is None:
-            links = tuple(self.link_resource(name)
-                          for name in self.route_links(src, dst))
-            self._resource_route_cache.put(key, links)
+            links = entry[1] = tuple(self.link_resource(name)
+                                     for name in entry[0])
         return links
 
     def cpu_of(self, host_name: str) -> CpuResource:

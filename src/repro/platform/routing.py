@@ -11,7 +11,7 @@ pluggable strategy:
   list of link names), O(1) lookup, O(V²) declaration;
 * ``"Dijkstra"`` — routes are computed on demand by Dijkstra over the
   zone's graph edges (explicit routes still win), O(E log V) per query,
-  nothing precomputed;
+  nothing precomputed (a route into a leaf stops at its neighbour);
 * ``"Floyd"``    — the all-pairs next-hop table is precomputed lazily at
   first query (and invalidated if the zone is modified), O(1) amortized
   lookup.  The table is built by running the *same* deterministic
@@ -197,6 +197,12 @@ class DijkstraRouting(_Strategy):
     otherwise re-run its Dijkstra, relaxing every adjacent edge, once per
     *end-to-end pair* instead of once per segment.  The memo holds paths,
     not trees, so memory stays O(distinct queried pairs), each O(path).
+
+    A *leaf* destination (one adjacency entry ``(nbr, link)``) is peeled:
+    its route is the search to ``nbr`` plus ``link``.  This is exact: the
+    leaf's predecessor is written only when ``nbr`` settles, and a settled
+    chain never changes (weights are > 0).  A host→host route in a star
+    site then settles two vertices instead of relaxing the whole hub.
     """
 
     name = "Dijkstra"
@@ -213,16 +219,25 @@ class DijkstraRouting(_Strategy):
         if self._cached_version != self.zone.version:
             self._path_cache.clear()
             self._cached_version = self.zone.version
-        path = self._path_cache.get((src, dst))
+        # Only the search to the leaf's neighbour is memoized; an explicit
+        # route on (src, nbr) is ignored, like on any inner segment.
+        target, tail = dst, []
+        edges = self.zone.adjacency.get(dst, ())
+        if len(edges) == 1:
+            target, link_name = edges[0]
+            tail = [link_name]
+            if target == src:
+                return tail
+        path = self._path_cache.get((src, target))
         if path is None:
             if src not in self.zone.adjacency:
                 raise self._no_route(src, dst)
-            path = _reconstruct(_dijkstra_prev(self.zone, src, dst),
-                                src, dst)
+            path = _reconstruct(_dijkstra_prev(self.zone, src, target),
+                                src, target)
             if path is None:
                 raise self._no_route(src, dst)
-            self._path_cache[(src, dst)] = path
-        return list(path)
+            self._path_cache[(src, target)] = path
+        return path + tail
 
 
 class FloydRouting(_Strategy):

@@ -9,7 +9,8 @@ Three families of guarantees:
 * **strategy equivalence** — ``Dijkstra`` and ``Floyd`` are two schedules
   of the same deterministic shortest-path computation, so they must
   return identical routes and produce bit-identical simulated dates.
-  Cross-checked on derandomized hypothesis-generated random graphs.
+  Cross-checked on derandomized hypothesis-generated random graphs, like
+  Dijkstra's leaf peel against the plain full search.
 * **bounded caches and lazy realization** — route resolution stays
   O(touched) in memory: LRU-bounded caches with observable counters, and
   ``realize(lazy=True)`` materializing only what a simulation touches.
@@ -35,7 +36,10 @@ from repro.platform import (
     make_zoned_grid,
 )
 from repro.platform.loader import platform_from_dict, platform_to_dict
-from repro.platform.routing import LRUCache, resolve_route
+from repro.platform import routing
+from repro.platform.routing import (
+    LRUCache, _dijkstra_prev, _reconstruct, resolve_route,
+)
 from repro.s4u import Engine, FailureInjector
 
 FLAT_GENERATORS = [
@@ -220,6 +224,179 @@ class TestDijkstraFloydFuzz:
         assert run("Dijkstra") == run("Floyd")
 
 
+def _plain_route(zone, src, dst):
+    """The unpeeled reference: explicit route, else one full early-stop
+    search to ``dst`` itself."""
+    spec = zone.routes.get((src, dst))
+    if spec is not None:
+        return list(spec.links)
+    path = None
+    if src in zone.adjacency:
+        path = _reconstruct(_dijkstra_prev(zone, src, dst), src, dst)
+    if path is None:
+        raise NoRouteError(f"no route from {src!r} to {dst!r}")
+    return path
+
+
+def _leafy_root_zone(core_edges, leaves, explicit, children):
+    """A root zone with a random core, many leaves and fixed corner cases.
+
+    * ``core_edges`` — ``(a, b, latency_us)`` among ``c0..c5`` (latencies
+      from a tiny range, so equal-latency ties are common);
+    * ``leaves`` — ``(core, latency_us, parallel)``: leaf ``f<k>`` hangs
+      off ``c<core>`` by one link, or by two when ``parallel`` (degree 2,
+      so it is not peeled);
+    * ``explicit`` — ``(src, leaf)`` pairs: an explicit route is declared
+      on ``(vertex src, neighbour of leaf f<leaf>)``, which must not leak
+      into ``route(src, f<leaf>)``;
+    * ``children`` — a child zone per entry, a leaf of the root zone
+      attached to ``c<core>``;
+    * always a two-vertex component ``p0 — p1``.
+    """
+    platform = Platform("leafy")
+    zone = platform.root_zone
+    core = [f"c{i}" for i in range(6)]
+    for name in core + ["p0", "p1"]:
+        platform.add_host(name, 1e9)
+
+    def wire(a, b, latency_us):
+        name = f"l{len(platform.links)}"
+        platform.add_link(name, 1e7, latency_us * 1e-6)
+        zone.connect(a, b, name)
+
+    for a, b, latency_us in core_edges:
+        wire(core[a], core[b], latency_us)
+    wire("p0", "p1", 1)
+    attach = {}
+    for k, (c, latency_us, parallel) in enumerate(leaves):
+        leaf = f"f{k}"
+        platform.add_host(leaf, 1e9)
+        wire(core[c], leaf, latency_us)
+        if parallel:
+            wire(leaf, core[c], latency_us)
+        attach[leaf] = core[c]
+    for k, c in enumerate(children):
+        child = platform.add_zone(f"z{k}")
+        child.add_host(f"z{k}-h", 1e9)
+        wire(core[c], f"z{k}", 2)
+        attach[f"z{k}"] = core[c]
+    vertices = zone.vertices()
+    for src, leaf in explicit:
+        leaf_name = f"f{leaf % len(leaves)}"
+        src_name = vertices[src % len(vertices)]
+        if src_name != attach[leaf_name]:
+            zone.add_route(src_name, attach[leaf_name],
+                           [zone.adjacency[leaf_name][0][1]],
+                           symmetric=False)
+    return platform, zone
+
+
+_core_edge = st.tuples(st.integers(0, 5), st.integers(0, 5),
+                       st.integers(1, 3)).filter(lambda e: e[0] != e[1])
+_leaf = st.tuples(st.integers(0, 5), st.integers(1, 3), st.booleans())
+
+
+class TestLeafPeel:
+    """A route into a leaf vertex searches only up to the leaf's
+    neighbour, and resolves exactly what the full search resolves."""
+
+    @staticmethod
+    def _check_all_pairs(zone):
+        for src, dst in itertools.permutations(zone.vertices(), 2):
+            try:
+                expected = _plain_route(zone, src, dst)
+            except NoRouteError:
+                with pytest.raises(NoRouteError,
+                                   match=f"from {src!r} to {dst!r}"):
+                    zone.strategy.route(src, dst)
+                continue
+            assert zone.strategy.route(src, dst) == expected, (src, dst)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(_core_edge, min_size=1, max_size=10),
+           st.lists(_leaf, min_size=1, max_size=8),
+           st.lists(st.tuples(st.integers(0, 20), st.integers(0, 7)),
+                    min_size=1, max_size=3),
+           st.lists(st.integers(0, 5), min_size=1, max_size=2),
+           st.tuples(st.integers(0, 30), st.integers(0, 30),
+                     st.integers(1, 3)))
+    def test_peeled_routes_equal_the_full_search(
+            self, core_edges, leaves, explicit, children, extra_edge):
+        platform, zone = _leafy_root_zone(core_edges, leaves, explicit,
+                                          children)
+        self._check_all_pairs(zone)
+        # Mutate after the queries: the memo must be dropped (a new edge
+        # can also turn a leaf into a degree-2 vertex).
+        vertices = zone.vertices()
+        a = vertices[extra_edge[0] % len(vertices)]
+        b = vertices[extra_edge[1] % len(vertices)]
+        if a != b:
+            platform.add_link("extra", 1e7, extra_edge[2] * 1e-6)
+            zone.connect(a, b, "extra")
+            self._check_all_pairs(zone)
+
+    def test_explicit_route_to_the_neighbour_does_not_leak(self):
+        platform, zone = _leafy_root_zone(
+            core_edges=[(0, 1, 1), (1, 2, 1)], leaves=[(2, 1, False)],
+            explicit=[], children=[0])
+        platform.add_link("detour", 1e7, 1e-3)
+        zone.add_route("c0", "c2", ["detour"], symmetric=False)
+        assert zone.strategy.route("c0", "c2") == ["detour"]
+        assert zone.strategy.route("c0", "f0") == \
+            _plain_route(zone, "c0", "f0") == ["l0", "l1", "l3"]
+
+    def test_unreachable_leaf_names_the_original_pair(self):
+        _, zone = _leafy_root_zone(core_edges=[(0, 1, 1)],
+                                   leaves=[(0, 1, False)], explicit=[],
+                                   children=[0])
+        with pytest.raises(NoRouteError, match="from 'c0' to 'p1'"):
+            zone.strategy.route("c0", "p1")
+        assert zone.strategy.route("p0", "p1") == ["l1"]     # nbr == src
+
+    def test_star_site_routes_expand_o1_vertices_per_route(self,
+                                                           monkeypatch):
+        """Work pin, no wall clock: count the vertices the search expands.
+
+        Every leaf→leaf route of a 1000-host Dijkstra star site expands
+        its source host and stops when the gateway settles; the search is
+        memoized, so each source host is expanded once.  The full search
+        to a leaf expands the gateway and then every host queued before
+        the destination: up to 1000 vertices per route."""
+        hosts = 1000
+        platform = make_zoned_grid(num_sites=1, hosts_per_site=hosts,
+                                   site_routing="Dijkstra")
+        zone = platform.zone("site-0")
+        expanded = [0]
+
+        class CountingAdjacency(dict):
+            def get(self, vertex, default=None):
+                expanded[0] += 1
+                return dict.get(self, vertex, default)
+
+        class CountingZone:
+            def __init__(self, zone):
+                self.platform = zone.platform
+                self.adjacency = CountingAdjacency(zone.adjacency)
+
+        search = routing._dijkstra_prev
+        monkeypatch.setattr(
+            routing, "_dijkstra_prev",
+            lambda zone, src, dst=None: search(CountingZone(zone), src, dst))
+        names = [f"site-0-host-{i}" for i in range(hosts)]
+        routes = 0
+        for index, src in enumerate(names):
+            for dst in names:
+                if src != dst:
+                    assert len(zone.strategy.route(src, dst)) == 2
+                    routes += 1
+            assert expanded[0] <= index + 1, src
+        assert routes == hosts * (hosts - 1)
+        # The (still wrapped) full search to a leaf does O(site) work.
+        expanded[0] = 0
+        routing._dijkstra_prev(zone, names[0], names[-1])
+        assert expanded[0] >= hosts
+
+
 class TestHierarchicalRoutes:
     """Route composition across the zone tree (gateway concatenation)."""
 
@@ -243,7 +420,8 @@ class TestHierarchicalRoutes:
         assert platform.route_links("site-0-host-0", "site-0-host-0") == []
 
     def test_full_site_routing_variant_matches_default(self):
-        floyd = make_zoned_grid(num_sites=2, hosts_per_site=3)
+        floyd = make_zoned_grid(num_sites=2, hosts_per_site=3,
+                                site_routing="Floyd")
         full = make_zoned_grid(num_sites=2, hosts_per_site=3,
                                site_routing="Full")
         for src, dst in itertools.permutations(all_nodes(floyd), 2):
